@@ -3,8 +3,9 @@
 //! `BENCH_detection.json`.
 use smst_bench::harness::BenchGroup;
 use smst_core::faults::FaultKind;
-use smst_core::scheme::run_sync_fault_experiment;
 use smst_core::MstVerificationScheme;
+use smst_engine::adapters::run_engine_fault_experiment;
+use smst_engine::EngineConfig;
 use smst_graph::NodeId;
 use smst_sim::{FaultPlan, SyncRunner};
 
@@ -19,12 +20,14 @@ fn main() {
         let mut runner = SyncRunner::new(&verifier, net);
         group.bench(&format!("verifier_round/{n}"), 10, || runner.step_round());
         group.bench(&format!("single_fault_episode/{n}"), 10, || {
-            run_sync_fault_experiment(
+            run_engine_fault_experiment(
                 &inst,
                 &FaultPlan::single(NodeId(n / 2)),
                 FaultKind::SpDistance,
                 3,
+                &EngineConfig::reference(),
             )
+            .expect("the reference envelope is valid")
             .report
             .detection_time
         });

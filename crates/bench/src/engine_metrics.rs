@@ -1,21 +1,22 @@
-//! Engine-native metric sweeps: the paper's detection-distance and memory
-//! figures driven through [`ScenarioSpec`] instead of the sequential
-//! [`Network`](smst_sim::Network) interop.
+//! The paper's detection-time, detection-locality, construction and memory
+//! figures, one driver each, driven through [`ScenarioSpec`].
 //!
-//! The sequential sweeps in [`crate`] top out around 10³ nodes — every
-//! round is a single-threaded sweep. These variants describe the same
-//! experiments declaratively (graph family × fault burst × stop condition)
-//! and execute them on the sharded runners, so the figures regenerate at
-//! 100k+ nodes on a multi-core host and inherit the engine's determinism
-//! contract (every point is a pure function of `(n, seed)`; thread count
-//! and layout never change the numbers — pinned by the test below).
+//! Each sweep describes its experiment declaratively (graph family × fault
+//! burst × stop condition) and executes it on whatever path its
+//! [`EngineConfig`] describes: [`EngineConfig::reference()`] runs the
+//! sequential simulator, the sharded envelopes regenerate the figures at
+//! 100k+ nodes on a multi-core host. Every point is a pure function of
+//! `(n, seed)`; backend, thread count and layout never change the numbers
+//! — the tests below pin each sharded envelope to `reference()`.
 
 use smst_core::faults::{corrupt, FaultKind};
 use smst_core::{CoreVerifier, Marker, MstVerificationScheme};
 use smst_engine::{EngineConfig, GraphFamily, PoolHandle, ScenarioSpec, StopCondition};
 use smst_graph::mst::kruskal;
 use smst_graph::{NodeId, WeightedGraph};
-use smst_labeling::Instance;
+use smst_labeling::kkp::KkpMstScheme;
+use smst_labeling::scheme::max_label_bits;
+use smst_labeling::{Instance, OneRoundScheme};
 use smst_sim::DetectionReport;
 
 /// The figure bins' env-gated size escape hatch: `$SMST_FIG_N` (a node
@@ -47,22 +48,27 @@ pub fn fig_sizes(defaults: &[usize]) -> Vec<usize> {
     sizes
 }
 
-/// The graph family the engine sweeps run on: the random connected family
-/// with the throughput-relevant density `m = 3n` (the same family and seed
-/// scheme as the sequential sweeps, so small sizes are directly
-/// comparable).
+/// The graph family the sweeps run on: the random connected family with
+/// the throughput-relevant density `m = 3n` (the graph of
+/// [`mst_instance`](crate::mst_instance)`(n, 3n, seed)`).
 fn sweep_family(n: usize) -> GraphFamily {
     GraphFamily::RandomConnected { n, m: 3 * n }
+}
+
+/// The correct MST instance of a scenario graph (Kruskal's tree, rooted at
+/// node 0).
+fn kruskal_instance(graph: &WeightedGraph) -> Instance {
+    let tree = kruskal(graph)
+        .rooted_at(graph, NodeId(0))
+        .expect("scenario graphs are connected");
+    Instance::from_tree(graph.clone(), &tree)
 }
 
 /// Builds the paper's verifier for the scenario's graph: MST via Kruskal,
 /// marker labels, verifier over the labelled instance. Public because the
 /// adversary campaign engine builds the same workload for its trials.
 pub fn mst_verifier_for(graph: &WeightedGraph) -> CoreVerifier {
-    let tree = kruskal(graph)
-        .rooted_at(graph, NodeId(0))
-        .expect("scenario graphs are connected");
-    let instance = Instance::from_tree(graph.clone(), &tree);
+    let instance = kruskal_instance(graph);
     let scheme = MstVerificationScheme::new();
     let (labels, _) = scheme
         .mark(&instance)
@@ -70,7 +76,7 @@ pub fn mst_verifier_for(graph: &WeightedGraph) -> CoreVerifier {
     scheme.verifier(&instance, labels)
 }
 
-/// One point of the engine-native detection figure.
+/// One point of the detection figure.
 #[derive(Debug, Clone)]
 pub struct EngineDetectionPoint {
     /// Number of nodes.
@@ -86,7 +92,7 @@ pub struct EngineDetectionPoint {
     pub threads: usize,
 }
 
-/// The engine-native detection sweep: warm the verifier up on a correct,
+/// The detection sweep: warm the verifier up on a correct,
 /// marker-labelled instance, hit one random register with a stored-piece
 /// fault (a [`FaultBurst`](smst_engine::FaultBurst) at the warm-up
 /// boundary), and measure synchronous detection time and distance — all
@@ -137,7 +143,7 @@ pub fn engine_detection_sweep(
         .collect()
 }
 
-/// One point of the engine-native detection-locality figure.
+/// One point of the detection-locality figure.
 #[derive(Debug, Clone)]
 pub struct EngineLocalityPoint {
     /// Number of injected faults `f`.
@@ -152,13 +158,10 @@ pub struct EngineLocalityPoint {
     pub threads: usize,
 }
 
-/// The engine-native detection-locality sweep (`O(f log n)` detection
-/// distance): inject `f` SP-distance faults at the warm-up boundary and
-/// measure the maximum distance from a fault to the closest alarming node
-/// — the sequential [`locality_sweep`](crate::locality_sweep) driven
-/// through [`ScenarioSpec`] (same family, graph seed, plan seed `seed + f`
-/// and corruption seeds, so shared sizes are pinned equal), executed on
-/// whatever path the [`EngineConfig`] envelope describes.
+/// The detection-locality sweep (`O(f log n)` detection distance): inject
+/// `f` SP-distance faults (plan seed `seed + f`) at the warm-up boundary
+/// and measure the maximum distance from a fault to the closest alarming
+/// node, on whatever path the [`EngineConfig`] envelope describes.
 pub fn engine_locality_sweep(
     n: usize,
     fault_counts: &[usize],
@@ -205,7 +208,7 @@ pub fn engine_locality_sweep(
         .collect()
 }
 
-/// One point of the engine-native construction figure.
+/// One point of the construction figure.
 #[derive(Debug, Clone)]
 pub struct EngineConstructionPoint {
     /// Number of nodes.
@@ -218,14 +221,12 @@ pub struct EngineConstructionPoint {
     pub rounds_per_node: f64,
 }
 
-/// The engine-native construction sweep: SYNC_MST + marker rounds per
-/// size, instances built through the [`GraphFamily`] scheme the scenario
-/// engine uses (same family and seed as the sequential
-/// [`construction_sweep`](crate::construction_sweep), so shared sizes are
-/// pinned equal) and the sizes fanned out across the persistent worker
-/// pool — the construction itself is the centralized reference algorithm,
-/// so the pool parallelism is across instances, not rounds (only the
-/// envelope's thread count is consulted).
+/// The construction sweep: SYNC_MST + marker rounds per size, instances
+/// built through the [`GraphFamily`] scheme the scenario engine uses and
+/// the sizes fanned out across the persistent worker pool — the
+/// construction itself is the centralized reference algorithm, so the pool
+/// parallelism is across instances, not rounds (only the envelope's thread
+/// count is consulted).
 pub fn engine_construction_sweep(
     sizes: &[usize],
     seed: u64,
@@ -234,10 +235,7 @@ pub fn engine_construction_sweep(
     let threads = engine.threads;
     let measure = |n: usize| {
         let graph = ScenarioSpec::new(sweep_family(n)).seed(seed).build_graph();
-        let tree = kruskal(&graph)
-            .rooted_at(&graph, NodeId(0))
-            .expect("scenario graphs are connected");
-        let instance = Instance::from_tree(graph, &tree);
+        let instance = kruskal_instance(&graph);
         let (_, report) = Marker.label(&instance).expect("correct instance");
         EngineConstructionPoint {
             n,
@@ -249,13 +247,13 @@ pub fn engine_construction_sweep(
     PoolHandle::for_threads(threads.max(1)).map_indexed(sizes, |_i, &n| measure(n))
 }
 
-/// One point of the engine-native memory figure.
+/// One point of the memory figure.
 #[derive(Debug, Clone)]
 pub struct EngineMemoryPoint {
     /// Number of nodes.
     pub n: usize,
     /// Steps executed before measuring (0 = the freshly marked
-    /// configuration, matching the sequential figure).
+    /// configuration).
     pub steps: usize,
     /// Maximum register bits of the paper's scheme (label + verifier
     /// state).
@@ -264,14 +262,19 @@ pub struct EngineMemoryPoint {
     pub mean_bits: f64,
     /// `max_bits / log₂ n` — bounded for the paper's scheme.
     pub words: f64,
+    /// Maximum label bits of the `O(log² n)` 1-round (KKP) baseline on the
+    /// same graph.
+    pub one_round_bits: u64,
+    /// `one_round_bits / log₂ n` — grows like `log n` for the baseline.
+    pub one_round_words: f64,
 }
 
-/// The engine-native memory sweep: run the verifier fault-free for `steps`
-/// synchronous steps on the engine and measure its per-node register bits.
-/// With `steps == 0` this reproduces the sequential memory figure's
-/// freshly-marked measurement; with a warm-up budget it measures the
-/// registers the verifier actually carries in steady state (trains,
-/// comparison machinery included).
+/// The memory sweep: run the verifier fault-free for `steps` synchronous
+/// steps and measure its per-node register bits, next to the label bits of
+/// the 1-round baseline on the same graph. With `steps == 0` it measures
+/// the freshly marked configuration; with a warm-up budget, the registers
+/// the verifier actually carries in steady state (trains, comparison
+/// machinery included).
 pub fn engine_memory_sweep(
     sizes: &[usize],
     seed: u64,
@@ -297,12 +300,18 @@ pub fn engine_memory_sweep(
             } else {
                 bits.iter().copied().sum::<u64>() as f64 / bits.len() as f64
             };
+            let instance = kruskal_instance(outcome.network.graph());
+            let kkp_labels = KkpMstScheme.mark(&instance).expect("correct instance");
+            let one_round_bits = max_label_bits(&KkpMstScheme, &instance, &kkp_labels);
+            let log_n = (n.max(2) as f64).log2();
             EngineMemoryPoint {
                 n,
                 steps,
                 max_bits,
                 mean_bits,
-                words: max_bits as f64 / (n.max(2) as f64).log2(),
+                words: max_bits as f64 / log_n,
+                one_round_bits,
+                one_round_words: one_round_bits as f64 / log_n,
             }
         })
         .collect()
@@ -311,22 +320,28 @@ pub fn engine_memory_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smst_core::scheme::run_sync_fault_experiment;
+    use smst_engine::adapters::run_engine_fault_experiment;
+    use smst_engine::LayoutPolicy;
     use smst_sim::FaultPlan;
 
     #[test]
     fn engine_detection_sweep_equals_the_sequential_experiment() {
         // same graph (family + seed), same fault plan, same per-fault
-        // corruption seeds: the engine-native point must equal the
-        // sequential driver's numbers exactly
+        // corruption seeds: the sharded sweep point must equal the fault
+        // experiment on the sequential reference runner exactly
         let (n, seed) = (16usize, 3u64);
-        let engine = EngineConfig::new()
-            .threads(2)
-            .layout(smst_engine::LayoutPolicy::Rcm);
+        let engine = EngineConfig::new().threads(2).layout(LayoutPolicy::Rcm);
         let point = engine_detection_sweep(&[n], seed, &engine).pop().unwrap();
         let inst = crate::mst_instance(n, 3 * n, seed);
         let plan = FaultPlan::random(n, 1, seed);
-        let seq = run_sync_fault_experiment(&inst, &plan, FaultKind::StoredPieceWeight, seed);
+        let seq = run_engine_fault_experiment(
+            &inst,
+            &plan,
+            FaultKind::StoredPieceWeight,
+            seed,
+            &EngineConfig::reference(),
+        )
+        .expect("valid envelope");
         assert_eq!(point.detection_steps, seq.report.detection_time);
         assert_eq!(point.detection_distance, seq.report.max_detection_distance);
         assert_eq!(point.max_degree, inst.graph.max_degree());
@@ -341,7 +356,7 @@ mod tests {
             seed,
             &EngineConfig::new()
                 .threads(4)
-                .layout(smst_engine::LayoutPolicy::Rcm)
+                .layout(LayoutPolicy::Rcm)
                 .halo(true),
         );
         let c = engine_detection_sweep(&[n], seed, &EngineConfig::reference());
@@ -353,17 +368,18 @@ mod tests {
 
     #[test]
     fn engine_locality_sweep_equals_the_sequential_driver() {
-        // same graph (family + seed), same plan seed (seed + f), same
-        // corruption seeds: the engine-native locality point must equal
-        // the sequential driver's distance exactly, for every shared f
+        // same graph, plan seed (seed + f) and corruption seeds: the
+        // sharded locality point must equal the sequential reference
+        // runner's, for every f
         let (n, seed) = (16usize, 7u64);
-        let engine = EngineConfig::new()
-            .threads(2)
-            .layout(smst_engine::LayoutPolicy::Rcm);
+        let engine = EngineConfig::new().threads(2).layout(LayoutPolicy::Rcm);
         for f in [1usize, 3] {
             let point = engine_locality_sweep(n, &[f], seed, &engine).pop().unwrap();
-            let seq = crate::locality_sweep(n, &[f], seed).pop().unwrap();
+            let seq = engine_locality_sweep(n, &[f], seed, &EngineConfig::reference())
+                .pop()
+                .unwrap();
             assert_eq!(point.max_detection_distance, seq.max_detection_distance);
+            assert_eq!(point.detection_steps, seq.detection_steps);
             assert_eq!(point.faults, seq.faults);
         }
     }
@@ -376,9 +392,7 @@ mod tests {
             n,
             &[2],
             seed,
-            &EngineConfig::new()
-                .threads(4)
-                .layout(smst_engine::LayoutPolicy::Rcm),
+            &EngineConfig::new().threads(4).layout(LayoutPolicy::Rcm),
         );
         assert_eq!(a[0].max_detection_distance, b[0].max_detection_distance);
         assert_eq!(a[0].detection_steps, b[0].detection_steps);
@@ -386,16 +400,21 @@ mod tests {
 
     #[test]
     fn engine_construction_sweep_equals_the_sequential_driver() {
+        // the scenario family builds the graph of `mst_instance(n, 3n,
+        // seed)`, and the thread fan-out never changes a point
         let sizes = [24usize, 40];
-        let seq = crate::construction_sweep(&sizes, 4);
         for threads in [1usize, 3] {
             let engine =
                 engine_construction_sweep(&sizes, 4, &EngineConfig::new().threads(threads));
-            assert_eq!(engine.len(), seq.len());
-            for (e, s) in engine.iter().zip(&seq) {
-                assert_eq!(e.n, s.n, "threads {threads}");
-                assert_eq!(e.sync_mst_rounds, s.sync_mst_rounds, "threads {threads}");
-                assert_eq!(e.marker_rounds, s.marker_rounds, "threads {threads}");
+            assert_eq!(engine.len(), sizes.len());
+            for (e, &n) in engine.iter().zip(&sizes) {
+                let (_, report) = Marker.label(&crate::mst_instance(n, 3 * n, 4)).unwrap();
+                assert_eq!(e.n, n, "threads {threads}");
+                assert_eq!(
+                    e.sync_mst_rounds, report.construction_rounds,
+                    "threads {threads}"
+                );
+                assert_eq!(e.marker_rounds, report.marker_rounds, "threads {threads}");
             }
         }
     }
@@ -411,12 +430,17 @@ mod tests {
 
     #[test]
     fn engine_memory_sweep_matches_the_sequential_figure() {
-        // steps == 0 measures the freshly marked configuration — exactly
-        // what the sequential figure reports; bits must agree on the same
-        // (n, seed)
-        let seq = crate::memory_sweep(&[32], 3);
+        // steps == 0 measures the freshly marked configuration: the
+        // sharded point must equal the sequential reference runner's, and
+        // the paper's bits must be the verifier's registers on the marker
+        // labels of `mst_instance(n, 3n, seed)`
+        let seq = engine_memory_sweep(&[32], 3, &EngineConfig::reference(), 0);
         let engine = engine_memory_sweep(&[32], 3, &EngineConfig::new().threads(2), 0);
-        assert_eq!(engine[0].max_bits, seq[0].paper_bits);
-        assert!(engine[0].words <= seq[0].paper_words + 1e-9);
+        assert_eq!(engine[0].max_bits, seq[0].max_bits);
+        assert_eq!(engine[0].one_round_bits, seq[0].one_round_bits);
+        let inst = crate::mst_instance(32, 96, 3);
+        let verifier = mst_verifier_for(&inst.graph);
+        let bits = verifier.network().memory_bits(&verifier);
+        assert_eq!(seq[0].max_bits, bits.into_iter().max().unwrap());
     }
 }

@@ -20,6 +20,11 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+/// Minimal JSON string escaping, shared with the telemetry artifacts. Public
+/// so sibling artifact writers (the adversary campaign engine's
+/// `CAMPAIGN_*.json`) share one escaping rule with the bench JSONs.
+pub use smst_telemetry::json::json_string;
+
 /// Timing summary of one benchmark case.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
@@ -175,13 +180,15 @@ impl BenchGroup {
         )
     }
 
-    /// Writes `BENCH_<group>.json` into `dir` and returns its path.
+    /// Writes `BENCH_<group>.json` into `dir`, creating the directory if
+    /// it does not exist yet, and returns its path.
     ///
     /// This is the injectable core of [`write_json`](Self::write_json):
     /// tests pass a directory instead of mutating the process-global
     /// `SMST_BENCH_DIR` (env mutation in a multithreaded test harness is a
     /// flake, and UB-adjacent in newer rustc).
     pub fn write_json_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("BENCH_{}.json", self.group));
         let mut file = std::fs::File::create(&path)?;
         file.write_all(self.to_json().as_bytes())?;
@@ -217,28 +224,6 @@ pub fn bench_dir() -> PathBuf {
 /// artifacts without a multi-minute run.
 pub fn smoke_mode() -> bool {
     std::env::var_os("SMST_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
-
-/// Minimal JSON string escaping (bench case names are plain ASCII, but a
-/// stray quote must not corrupt the artifact). Public so sibling artifact
-/// writers (the adversary campaign engine's `CAMPAIGN_*.json`) share one
-/// escaping rule with the bench JSONs.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn format_ns(ns: f64) -> String {
@@ -338,5 +323,20 @@ mod tests {
             .to_string_lossy()
             .starts_with("BENCH_"));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn group_creates_a_missing_output_directory() {
+        let root = std::env::temp_dir().join(format!("smst_bench_missing_{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let dir = root.join("nested").join("out");
+        let mut group = BenchGroup::new("missing_dir");
+        group.bench("spin", 1, || 7u64);
+        let path = group.write_json_to(&dir).unwrap();
+        assert_eq!(path.parent().unwrap(), dir.as_path());
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .contains("\"group\":\"missing_dir\""));
+        std::fs::remove_dir_all(&root).ok();
     }
 }

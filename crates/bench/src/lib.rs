@@ -1,27 +1,24 @@
 //! Shared experiment drivers for the benchmark harness.
 //!
-//! Each public function regenerates one of the paper's evaluation artifacts
-//! (see `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for the
-//! recorded results). The `bin` targets print the tables; the `benches/`
-//! targets time the underlying primitives with the in-repo [`harness`]
-//! (Criterion is unavailable in the offline build environment).
+//! Each public function regenerates one of the paper's evaluation
+//! artifacts: Table 1 and the lower-bound figure here, the detection,
+//! locality, memory and construction figures in [`engine_metrics`] (one
+//! driver per figure, run on any [`EngineConfig`](smst_engine::EngineConfig);
+//! `EngineConfig::reference()` is the sequential case). The `bin` targets
+//! print the tables; the `benches/` targets time the underlying primitives
+//! with the in-repo [`harness`] (Criterion is unavailable in the offline
+//! build environment).
 
 #![forbid(unsafe_code)]
 
 pub mod engine_metrics;
 pub mod harness;
 
-use smst_core::faults::FaultKind;
-use smst_core::scheme::{run_sync_fault_experiment, MstVerificationScheme};
-use smst_core::Marker;
 use smst_graph::generators::random_connected_graph;
 use smst_graph::mst::kruskal;
 use smst_graph::NodeId;
-use smst_labeling::kkp::KkpMstScheme;
-use smst_labeling::scheme::max_label_bits;
-use smst_labeling::{Instance, OneRoundScheme};
+use smst_labeling::Instance;
 use smst_selfstab::{SelfStabilizingMst, Variant};
-use smst_sim::FaultPlan;
 
 /// Builds a correct MST instance on a random connected graph.
 pub fn mst_instance(n: usize, m: usize, seed: u64) -> Instance {
@@ -65,142 +62,6 @@ pub fn table1(sizes: &[usize], seed: u64) -> Vec<Table1Row> {
         }
     }
     rows
-}
-
-/// One point of the detection-time figure.
-#[derive(Debug, Clone)]
-pub struct DetectionPoint {
-    /// Number of nodes.
-    pub n: usize,
-    /// Maximum degree of the graph.
-    pub max_degree: usize,
-    /// Rounds from fault injection to the first alarm (synchronous).
-    pub detection_rounds: usize,
-    /// Hop distance from the fault to the closest alarming node.
-    pub detection_distance: usize,
-}
-
-/// Regenerates the detection-time figure: inject a single stored-piece fault
-/// into a correct, marker-labelled instance and measure the synchronous
-/// detection time (Theorem 8.5's `O(log² n)`-flavoured quantity; see
-/// `DESIGN.md` on the extra logarithmic factor of the stop-and-wait train).
-pub fn detection_sweep(sizes: &[usize], seed: u64) -> Vec<DetectionPoint> {
-    let mut points = Vec::new();
-    for &n in sizes {
-        let inst = mst_instance(n, 3 * n, seed);
-        let plan = FaultPlan::single(NodeId(n / 2));
-        let outcome = run_sync_fault_experiment(&inst, &plan, FaultKind::StoredPieceWeight, seed);
-        points.push(DetectionPoint {
-            n,
-            max_degree: inst.graph.max_degree(),
-            detection_rounds: outcome.report.detection_time.unwrap_or(usize::MAX),
-            detection_distance: outcome.report.max_detection_distance,
-        });
-    }
-    points
-}
-
-/// One point of the detection-locality figure (`O(f log n)` detection
-/// distance).
-#[derive(Debug, Clone)]
-pub struct LocalityPoint {
-    /// Number of injected faults `f`.
-    pub faults: usize,
-    /// Number of nodes.
-    pub n: usize,
-    /// Maximum hop distance from a fault to the closest alarming node.
-    pub max_detection_distance: usize,
-}
-
-/// Regenerates the detection-locality figure: inject `f` faults and measure
-/// the maximum distance from a fault to the closest alarming node.
-pub fn locality_sweep(n: usize, fault_counts: &[usize], seed: u64) -> Vec<LocalityPoint> {
-    let mut points = Vec::new();
-    for &f in fault_counts {
-        let inst = mst_instance(n, 3 * n, seed);
-        let plan = FaultPlan::random(n, f, seed + f as u64);
-        let outcome = run_sync_fault_experiment(&inst, &plan, FaultKind::SpDistance, seed);
-        points.push(LocalityPoint {
-            faults: f,
-            n,
-            max_detection_distance: outcome.report.max_detection_distance,
-        });
-    }
-    points
-}
-
-/// One point of the memory figure.
-#[derive(Debug, Clone)]
-pub struct MemoryPoint {
-    /// Number of nodes.
-    pub n: usize,
-    /// Maximum register bits of the paper's scheme (label + verifier).
-    pub paper_bits: u64,
-    /// Maximum label bits of the `O(log² n)` 1-round baseline.
-    pub one_round_bits: u64,
-    /// `paper_bits / log₂ n` — constant for the paper's scheme.
-    pub paper_words: f64,
-    /// `one_round_bits / log₂ n` — grows like `log n` for the baseline.
-    pub one_round_words: f64,
-}
-
-/// Regenerates the memory figure: per-node memory of the paper's scheme vs.
-/// the `O(log² n)`-bit 1-round baseline.
-pub fn memory_sweep(sizes: &[usize], seed: u64) -> Vec<MemoryPoint> {
-    let mut points = Vec::new();
-    for &n in sizes {
-        let inst = mst_instance(n, 3 * n, seed);
-        let scheme = MstVerificationScheme::new();
-        let (labels, _) = scheme.mark(&inst).expect("correct instance");
-        let verifier = scheme.verifier(&inst, labels);
-        let paper_bits = verifier
-            .network()
-            .memory_bits(&verifier)
-            .into_iter()
-            .max()
-            .unwrap_or(0);
-        let kkp_labels = KkpMstScheme.mark(&inst).expect("correct instance");
-        let one_round_bits = max_label_bits(&KkpMstScheme, &inst, &kkp_labels);
-        let log_n = (n as f64).log2();
-        points.push(MemoryPoint {
-            n,
-            paper_bits,
-            one_round_bits,
-            paper_words: paper_bits as f64 / log_n,
-            one_round_words: one_round_bits as f64 / log_n,
-        });
-    }
-    points
-}
-
-/// One point of the construction-time figure.
-#[derive(Debug, Clone)]
-pub struct ConstructionPoint {
-    /// Number of nodes.
-    pub n: usize,
-    /// SYNC_MST rounds (Theorem 4.4: `O(n)`).
-    pub sync_mst_rounds: u64,
-    /// Marker rounds (label assignment, `O(n)`).
-    pub marker_rounds: u64,
-    /// `total / n` — roughly constant when the construction is linear.
-    pub rounds_per_node: f64,
-}
-
-/// Regenerates the construction-time figure: SYNC_MST + marker rounds as a
-/// function of `n`.
-pub fn construction_sweep(sizes: &[usize], seed: u64) -> Vec<ConstructionPoint> {
-    let mut points = Vec::new();
-    for &n in sizes {
-        let inst = mst_instance(n, 3 * n, seed);
-        let (_, report) = Marker.label(&inst).expect("correct instance");
-        points.push(ConstructionPoint {
-            n,
-            sync_mst_rounds: report.construction_rounds,
-            marker_rounds: report.marker_rounds,
-            rounds_per_node: report.total_rounds() as f64 / n as f64,
-        });
-    }
-    points
 }
 
 /// The lower-bound demonstration (§9, Lemma 9.1): build two blow-up instances
@@ -295,6 +156,8 @@ pub fn lower_bound_sweep(tau: usize, seed: u64) -> Vec<LowerBoundPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine_metrics::{engine_construction_sweep, engine_detection_sweep, engine_memory_sweep};
+    use smst_engine::EngineConfig;
 
     #[test]
     fn table1_orders_variants() {
@@ -308,27 +171,23 @@ mod tests {
 
     #[test]
     fn detection_is_polylogarithmic_in_practice() {
-        let points = detection_sweep(&[16, 32], 2);
-        for p in &points {
-            assert!(
-                p.detection_rounds < p.n * p.n,
-                "detection should beat Θ(n²)"
-            );
+        for p in engine_detection_sweep(&[16, 32], 2, &EngineConfig::reference()) {
+            let steps = p.detection_steps.expect("the fault is detected");
+            assert!(steps < p.n * p.n, "detection should beat Θ(n²)");
         }
     }
 
     #[test]
     fn memory_sweep_shows_the_gap_in_words() {
-        let points = memory_sweep(&[32, 256], 3);
+        let points = engine_memory_sweep(&[32, 256], 3, &EngineConfig::reference(), 0);
         // the baseline's words-per-log-n grows; the paper's stays bounded
         assert!(points[1].one_round_words > points[0].one_round_words * 1.05);
-        assert!(points[1].paper_words < points[0].paper_words * 1.5);
+        assert!(points[1].words < points[0].words * 1.5);
     }
 
     #[test]
     fn construction_is_linear() {
-        let points = construction_sweep(&[32, 128], 4);
-        for p in &points {
+        for p in engine_construction_sweep(&[32, 128], 4, &EngineConfig::reference()) {
             assert!(p.rounds_per_node < 120.0);
         }
     }

@@ -26,8 +26,8 @@
 //!   *trains* circulating the pieces, the Ask/Show/Want comparison mechanism
 //!   and the minimality checks C1/C2.
 //! * [`faults`] — corruption helpers used by the fault-detection experiments.
-//! * [`scheme`] — a facade tying marker and verifier together and the
-//!   experiment drivers (detection time, detection distance, memory).
+//! * [`scheme`] — a facade tying marker and verifier together, with the
+//!   detection-time budgets (the experiments run on `smst-engine`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,7 +21,7 @@
 
 use crate::labels::{PieceInfo, StoredPiece};
 use smst_graph::{Hierarchy, NodeId, RootedTree, WeightedGraph};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One part of one of the two partitions.
 #[derive(Debug, Clone)]
@@ -305,7 +305,7 @@ fn split_subtree(tree: &RootedTree, nodes: &BTreeSet<NodeId>, min_size: usize) -
     }
     let mut closed: Vec<Vec<NodeId>> = Vec::new();
     // pending cluster accumulated at each node
-    let mut pending: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+    let mut pending: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
     for &v in order.iter().rev() {
         let mut cluster = vec![v];
         for &c in tree.children(v) {
@@ -359,7 +359,7 @@ fn make_part(tree: &RootedTree, mut nodes: Vec<NodeId>, pieces: Vec<PieceInfo>) 
         .expect("parts are non-empty");
     // DFS preorder of the induced subtree, used both for depths and holders
     let mut order = Vec::new();
-    let mut depth_map: HashMap<NodeId, usize> = HashMap::new();
+    let mut depth_map: BTreeMap<NodeId, usize> = BTreeMap::new();
     let mut stack = vec![(root, 0usize)];
     while let Some((v, d)) = stack.pop() {
         order.push(v);
@@ -511,7 +511,7 @@ mod tests {
         let (g, _, h, parts) = build(100, 4);
         let threshold = parts.threshold;
         for p in &parts.top_parts {
-            let mut seen_levels = std::collections::HashSet::new();
+            let mut seen_levels = BTreeSet::new();
             for i in 0..h.len() {
                 let frag = h.fragment(i);
                 if frag.len() >= threshold && p.nodes.iter().any(|v| frag.contains(*v)) {

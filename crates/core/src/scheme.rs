@@ -1,12 +1,16 @@
-//! A facade tying the marker and the verifier together, plus the experiment
-//! drivers used by the examples, the integration tests and the benches.
+//! A facade tying the marker and the verifier together, with the
+//! detection-time budgets the experiments use as their time-outs.
+//!
+//! The experiments themselves (fault detection, rejection of a non-MST
+//! candidate) run through `smst_engine::adapters`, on whatever execution
+//! path an `EngineConfig` describes; `EngineConfig::reference()` is the
+//! sequential [`SyncRunner`](smst_sim::SyncRunner) /
+//! [`AsyncRunner`](smst_sim::AsyncRunner) case.
 
-use crate::faults::{corrupt, FaultKind};
 use crate::labels::CoreLabel;
 use crate::marker::{ConstructionReport, Marker};
 use crate::verifier::CoreVerifier;
 use smst_labeling::scheme::{Instance, MarkError};
-use smst_sim::{AsyncRunner, Daemon, DetectionReport, FaultPlan, MemoryUsage, Network, SyncRunner};
 
 /// The paper's MST proof labeling scheme: `O(log n)` bits per node,
 /// polylogarithmic detection time, `O(n)`-time marker.
@@ -51,182 +55,19 @@ impl MstVerificationScheme {
     }
 }
 
-/// The outcome of one fault-detection experiment.
-#[derive(Debug, Clone)]
-pub struct FaultExperimentOutcome {
-    /// Rounds the verifier ran before the faults were injected.
-    pub warmup_rounds: usize,
-    /// The detection report (time, alarming nodes, distances).
-    pub report: DetectionReport,
-    /// Memory usage of the verifier's registers at injection time.
-    pub memory: MemoryUsage,
-}
-
-/// Runs the synchronous verifier on a correct, marker-labelled instance,
-/// injects faults of the given kind at the planned nodes, and measures the
-/// detection time and detection distance.
-///
-/// # Panics
-///
-/// Panics if the instance is not a correct MST instance (the experiment
-/// measures detection of *injected* faults, so it starts from a correct
-/// configuration).
-pub fn run_sync_fault_experiment(
-    instance: &Instance,
-    plan: &FaultPlan,
-    kind: FaultKind,
-    seed: u64,
-) -> FaultExperimentOutcome {
-    let scheme = MstVerificationScheme::new();
-    let (labels, _) = scheme
-        .mark(instance)
-        .expect("fault experiments start from a correct instance");
-    let verifier = scheme.verifier(instance, labels);
-    let n = instance.node_count();
-    let budget = MstVerificationScheme::sync_budget(n);
-
-    let net = verifier.network();
-    let mut runner = SyncRunner::new(&verifier, net);
-    // let the trains reach steady state (no alarms may occur here)
-    runner.run_rounds(budget);
-    let warmup_rounds = runner.rounds();
-    assert!(
-        runner.network().alarming_nodes(&verifier).is_empty(),
-        "a correct instance must not raise alarms during warm-up"
-    );
-    let memory = MemoryUsage::from_bits(runner.network().memory_bits(&verifier));
-
-    // inject the faults
-    let mut i = 0u64;
-    plan.apply(runner.network_mut(), |_v, state| {
-        corrupt(state, kind, seed.wrapping_add(i));
-        i += 1;
-    });
-
-    let report = match runner.run_until_alarm(4 * budget) {
-        Some(t) => DetectionReport::from_alarms(
-            instance.graph(),
-            t,
-            runner.network().alarming_nodes(&verifier),
-            plan.nodes(),
-        ),
-        None => DetectionReport::not_detected(),
-    };
-    FaultExperimentOutcome {
-        warmup_rounds,
-        report,
-        memory,
-    }
-}
-
-/// Asynchronous variant of [`run_sync_fault_experiment`] under the given
-/// daemon.
-pub fn run_async_fault_experiment(
-    instance: &Instance,
-    plan: &FaultPlan,
-    kind: FaultKind,
-    daemon: Daemon,
-    seed: u64,
-) -> FaultExperimentOutcome {
-    let scheme = MstVerificationScheme::new();
-    let (labels, _) = scheme
-        .mark(instance)
-        .expect("fault experiments start from a correct instance");
-    let verifier = scheme.verifier(instance, labels);
-    let n = instance.node_count();
-    let budget = MstVerificationScheme::async_budget(n, instance.graph().max_degree());
-
-    let net = verifier.network();
-    let mut runner = AsyncRunner::new(&verifier, net, daemon);
-    runner.run_time_units(budget);
-    let warmup_rounds = runner.time_units();
-    assert!(
-        runner.network().alarming_nodes(&verifier).is_empty(),
-        "a correct instance must not raise alarms during warm-up"
-    );
-    let memory = MemoryUsage::from_bits(runner.network().memory_bits(&verifier));
-
-    let mut i = 0u64;
-    plan.apply(runner.network_mut(), |_v, state| {
-        corrupt(state, kind, seed.wrapping_add(i));
-        i += 1;
-    });
-
-    let report = match runner.run_until_alarm(4 * budget) {
-        Some(t) => DetectionReport::from_alarms(
-            instance.graph(),
-            t,
-            runner.network().alarming_nodes(&verifier),
-            plan.nodes(),
-        ),
-        None => DetectionReport::not_detected(),
-    };
-    FaultExperimentOutcome {
-        warmup_rounds,
-        report,
-        memory,
-    }
-}
-
-/// Runs the synchronous verifier on an instance whose candidate subgraph is
-/// **not** an MST (with labels taken from an adversary or from a stale
-/// marker) and returns the number of rounds until the first alarm.
-pub fn rounds_until_rejection(
-    instance: &Instance,
-    labels: Vec<CoreLabel>,
-    max_rounds: usize,
-) -> Option<usize> {
-    let verifier = MstVerificationScheme::new().verifier(instance, labels);
-    let net: Network<CoreVerifier> = verifier.network();
-    let mut runner = SyncRunner::new(&verifier, net);
-    runner.run_until_alarm(max_rounds)
-}
-
-/// Convenience extension used by the drivers above.
-trait InstanceExt {
-    fn graph(&self) -> &smst_graph::WeightedGraph;
-}
-
-impl InstanceExt for Instance {
-    fn graph(&self) -> &smst_graph::WeightedGraph {
-        &self.graph
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{corrupt, FaultKind};
     use smst_graph::generators::random_connected_graph;
     use smst_graph::mst::kruskal;
     use smst_graph::NodeId;
+    use smst_sim::{FaultPlan, SyncRunner};
 
     fn mst_instance(n: usize, m: usize, seed: u64) -> Instance {
         let g = random_connected_graph(n, m, seed);
         let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
         Instance::from_tree(g, &tree)
-    }
-
-    #[test]
-    fn sp_distance_fault_is_detected_quickly_and_locally() {
-        let inst = mst_instance(20, 50, 3);
-        let plan = FaultPlan::single(NodeId(7));
-        let outcome = run_sync_fault_experiment(&inst, &plan, FaultKind::SpDistance, 1);
-        assert!(outcome.report.detected);
-        // a structural (1-round checkable) fault is caught within one round
-        // at distance at most 1
-        assert!(outcome.report.detection_time.unwrap() <= 2);
-        assert!(outcome.report.max_detection_distance <= 1);
-    }
-
-    #[test]
-    fn stored_piece_fault_is_detected() {
-        let inst = mst_instance(24, 60, 4);
-        let plan = FaultPlan::single(NodeId(5));
-        let outcome = run_sync_fault_experiment(&inst, &plan, FaultKind::StoredPieceWeight, 2);
-        assert!(
-            outcome.report.detected,
-            "a corrupted piece weight must be detected"
-        );
     }
 
     #[test]
@@ -253,39 +94,5 @@ mod tests {
             runner.network().alarming_nodes(&verifier).is_empty(),
             "scrambled train buffers must heal without a permanent alarm"
         );
-    }
-
-    #[test]
-    fn non_mst_candidate_is_rejected() {
-        // swap a tree edge for a heavier non-tree edge and keep the stale labels
-        let g = random_connected_graph(14, 40, 6);
-        let mst = kruskal(&g);
-        let tree = mst.rooted_at(&g, NodeId(0)).unwrap();
-        let correct = Instance::from_tree(g.clone(), &tree);
-        let (labels, _) = MstVerificationScheme::new().mark(&correct).unwrap();
-
-        let non_tree: Vec<_> = g
-            .edge_entries()
-            .map(|(e, _)| e)
-            .filter(|e| !mst.contains(*e))
-            .collect();
-        let mut bad = None;
-        'search: for &extra in &non_tree {
-            for i in 0..mst.edges().len() {
-                let mut edges = mst.edges().to_vec();
-                edges[i] = extra;
-                if let Ok(t) = smst_graph::RootedTree::from_edges(&g, &edges, NodeId(0)) {
-                    let candidate = Instance::from_tree(g.clone(), &t);
-                    if !candidate.satisfies_mst() {
-                        bad = Some(candidate);
-                        break 'search;
-                    }
-                }
-            }
-        }
-        let bad = bad.expect("a spanning non-MST tree exists");
-        let budget = MstVerificationScheme::sync_budget(14);
-        let detected = rounds_until_rejection(&bad, labels, 8 * budget);
-        assert!(detected.is_some(), "a non-MST candidate must be rejected");
     }
 }

@@ -19,7 +19,7 @@
 
 use smst_graph::weight::bits_for;
 use smst_graph::{EdgeId, Fragment, Hierarchy, NodeId, RootedTree, WeightedGraph};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One active fragment recorded during the execution: its node set, level
 /// (= the phase at which it was active) and selected candidate edge.
@@ -84,10 +84,13 @@ impl SyncMst {
     ///
     /// Panics if the graph is empty or disconnected.
     pub fn run_for_candidate(&self, g: &WeightedGraph, tree: &RootedTree) -> SyncMstOutcome {
-        let in_tree: std::collections::HashSet<EdgeId> = tree.edges().into_iter().collect();
+        let mut in_tree = vec![false; g.edge_count()];
+        for e in tree.edges() {
+            in_tree[e.0] = true;
+        }
         self.run_with(
             g,
-            |e| g.composite_weight(e, in_tree.contains(&e)),
+            |e| g.composite_weight(e, in_tree[e.0]),
             Some(tree.root()),
         )
     }
@@ -106,12 +109,14 @@ impl SyncMst {
         assert!(g.is_connected(), "SYNC_MST requires a connected graph");
 
         // fragment state: component representative per node, fragment root,
-        // fragment level, member sets
+        // fragment level, member sets. Ordered maps keyed by representative:
+        // their iteration order decides the order of `tree_edges` and
+        // `active_fragments`, and so the marker's labels.
         let mut comp: Vec<usize> = (0..n).collect();
-        let mut members: HashMap<usize, BTreeSet<NodeId>> =
+        let mut members: BTreeMap<usize, BTreeSet<NodeId>> =
             (0..n).map(|v| (v, BTreeSet::from([NodeId(v)]))).collect();
-        let mut root_of: HashMap<usize, NodeId> = (0..n).map(|v| (v, NodeId(v))).collect();
-        let mut level_of: HashMap<usize, u32> = (0..n).map(|v| (v, 0)).collect();
+        let mut root_of: BTreeMap<usize, NodeId> = (0..n).map(|v| (v, NodeId(v))).collect();
+        let mut level_of: BTreeMap<usize, u32> = (0..n).map(|v| (v, 0)).collect();
 
         let mut active_fragments: Vec<ActiveFragment> = Vec::new();
         let mut tree_edges: Vec<EdgeId> = Vec::new();
@@ -155,7 +160,7 @@ impl SyncMst {
             }
 
             // Find_Min_Out_Edge for every active fragment
-            let mut selected: HashMap<usize, EdgeId> = HashMap::new();
+            let mut selected: BTreeMap<usize, EdgeId> = BTreeMap::new();
             for &f in &active {
                 let min_edge = members[&f]
                     .iter()
@@ -179,10 +184,11 @@ impl SyncMst {
             // Merging: every active fragment hooks onto the other endpoint of
             // its selected edge. The connected components of the "selected
             // edge" relation merge into one fragment each.
-            let mut new_rep: HashMap<usize, usize> = frags.iter().map(|&f| (f, f)).collect();
-            let find = |map: &HashMap<usize, usize>, mut x: usize| {
-                while map[&x] != x {
-                    x = map[&x];
+            // union-find over representatives (node indices)
+            let mut new_rep: Vec<usize> = (0..n).collect();
+            let find = |rep: &[usize], mut x: usize| {
+                while rep[x] != x {
+                    x = rep[x];
                 }
                 x
             };
@@ -195,13 +201,13 @@ impl SyncMst {
                 };
                 let (ra, rb) = (find(&new_rep, f), find(&new_rep, other));
                 if ra != rb {
-                    new_rep.insert(ra, rb);
+                    new_rep[ra] = rb;
                     tree_edges.push(e);
                 }
             }
 
             // compute the new fragment groups
-            let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
+            let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
             for &f in &frags {
                 groups.entry(find(&new_rep, f)).or_default().push(f);
             }
@@ -211,9 +217,9 @@ impl SyncMst {
             // survives; otherwise the mutual pair of the minimum selected
             // edge in the group decides — the higher-identity endpoint of
             // that edge becomes the new root (the handshake/pivot rule).
-            let mut new_members: HashMap<usize, BTreeSet<NodeId>> = HashMap::new();
-            let mut new_roots: HashMap<usize, NodeId> = HashMap::new();
-            let mut new_levels: HashMap<usize, u32> = HashMap::new();
+            let mut new_members: BTreeMap<usize, BTreeSet<NodeId>> = BTreeMap::new();
+            let mut new_roots: BTreeMap<usize, NodeId> = BTreeMap::new();
+            let mut new_levels: BTreeMap<usize, u32> = BTreeMap::new();
             for (rep, group) in &groups {
                 let mut set = BTreeSet::new();
                 let mut max_level = 0;

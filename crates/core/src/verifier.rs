@@ -256,7 +256,11 @@ impl CoreVerifier {
         if parent.is_none() && label.subtree_count != label.n_claim {
             return false;
         }
-        // strings legality (RS / EPS conditions)
+        // strings legality (RS / EPS conditions); `seen_levels` has one bit
+        // per level, so a label with more levels than bits is illegal
+        if label.strings.len() > MAX_LEVELS {
+            return false;
+        }
         let max_len = (label.n_claim.max(2) as f64).log2().ceil() as usize + 1;
         let view = StringNeighborhood {
             own: &label.strings,
@@ -521,7 +525,7 @@ impl CoreVerifier {
                 if j >= strings.len() || strings.roots[j] == RootSym::Absent {
                     *alarm = true;
                 } else {
-                    next.seen_levels |= 1u64 << (j as u32).min(63);
+                    next.seen_levels |= level_bit(j);
                     if strings.roots[j] == RootSym::Root && d.piece.root_id != ctx.id {
                         *alarm = true;
                     }
@@ -770,6 +774,19 @@ const DELAY_MAX: u8 = 64;
 const MAX_WATCH_WRAPS: u8 = 3;
 /// Cycles of both own trains after which the completeness check fires.
 const COMPLETENESS_WRAPS: u8 = 2;
+/// Most string levels a legal label has: one per bit of `seen_levels`.
+const MAX_LEVELS: usize = u64::BITS as usize;
+
+/// The `seen_levels` bit of level `j`. A level of [`MAX_LEVELS`] or more has
+/// none (its label fails the structural check), so its pieces never count
+/// as seen.
+fn level_bit(j: usize) -> u64 {
+    if j < MAX_LEVELS {
+        1 << j
+    } else {
+        0
+    }
+}
 
 fn part_of(s: &CoreState, which: usize) -> &crate::labels::PartLabel {
     if which == TRAIN_TOP {
@@ -831,7 +848,7 @@ impl NodeProgram for CoreVerifier {
         // 4. completeness (cycle-set) check of §8
         if next.trains.iter().all(|t| t.wraps >= COMPLETENESS_WRAPS) {
             for j in own.label.strings.levels_present() {
-                if next.seen_levels & (1u64 << (j as u32).min(63)) == 0 {
+                if next.seen_levels & level_bit(j) == 0 {
                     alarm = true;
                 }
             }
@@ -919,6 +936,45 @@ mod tests {
         runner.run_rounds(budget(n));
         // the completeness check never fired, so the verdict is Accept
         assert!(runner.network().all_accept(&verifier));
+    }
+
+    #[test]
+    fn structural_check_rejects_more_than_64_levels() {
+        // node 1 is node 0's tree child; both claim n = u64::MAX, so RS1
+        // allows up to ⌈log₂ n⌉ + 1 = 65 levels, and the top level is
+        // repeated until the strings reach the wanted length
+        let g = smst_graph::generators::path_graph(2, 3);
+        let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
+        let inst = Instance::from_tree(g, &tree);
+        let (marked, _) = Marker.label(&inst).unwrap();
+        let structural_ok_at_child = |levels: usize| {
+            let labels: Vec<CoreLabel> = marked
+                .iter()
+                .map(|l| {
+                    let mut l = l.clone();
+                    l.n_claim = u64::MAX;
+                    let s = &mut l.strings;
+                    let top = s.len() - 1;
+                    s.roots.resize(levels, s.roots[top]);
+                    s.endp.resize(levels, s.endp[top]);
+                    s.parents.resize(levels, s.parents[top]);
+                    s.or_endp.resize(levels, s.or_endp[top]);
+                    l
+                })
+                .collect();
+            let verifier = CoreVerifier::new(inst.graph.clone(), inst.components.clone(), labels);
+            let net = verifier.network();
+            let child = NodeId(1);
+            let neighbors: Vec<&CoreState> = inst
+                .graph
+                .incident_edges(child)
+                .iter()
+                .map(|&e| net.state(inst.graph.edge(e).other(child)))
+                .collect();
+            verifier.structural_ok(net.context(child), net.state(child), &neighbors)
+        };
+        assert!(structural_ok_at_child(64), "64 levels are legal");
+        assert!(!structural_ok_at_child(65), "65 levels must be rejected");
     }
 
     #[test]

@@ -3,33 +3,43 @@
 //!
 //! [`smst_core::CoreVerifier`] already implements
 //! [`NodeProgram`], so the engine runs it *unchanged*
-//! — these drivers only mirror the sequential experiment harnesses of
-//! [`smst_core::scheme`] and [`smst_selfstab`] on top of whatever execution
-//! path an [`EngineConfig`] describes, producing the same outcome types so
-//! downstream tables and figures accept either engine.
+//! — these are **the** verifier experiment drivers, run on whatever
+//! execution path an [`EngineConfig`] describes.
+//! [`EngineConfig::reference()`] is the sequential case: it drives the
+//! simulator's `SyncRunner` / `AsyncRunner`, which stay the oracle every
+//! sharded envelope is pinned against.
 //!
-//! Since the one-engine-API refactor there is a **single** fault-experiment
-//! driver, [`run_engine_fault_experiment`]: the synchronous and
-//! asynchronous variants differ only in the envelope's [`Mode`](crate::config::Mode) (and hence
-//! in the warm-up budget), not in code path. The old per-runner entry
-//! points shipped as `#[deprecated]` shims for one release and are gone.
+//! There is a **single** fault-experiment driver,
+//! [`run_engine_fault_experiment`]: the synchronous and asynchronous
+//! variants differ only in the envelope's [`Mode`](crate::config::Mode)
+//! (and hence in the warm-up budget), not in code path.
 //!
 //! Because the engine's rounds are bit-for-bit identical to the sequential
 //! ones, every number these functions return (warm-up rounds, detection
-//! times, alarming nodes, memory) **equals** the sequential harness's
-//! output; the adapter tests pin that equality.
+//! times, alarming nodes, memory) is the same on every envelope; the
+//! adapter tests pin each sharded envelope to `reference()`.
 
 use crate::config::{ConfigError, EngineConfig};
 use crate::runner::{Runner, StopCondition};
 use smst_core::faults::{corrupt, FaultKind};
-use smst_core::scheme::FaultExperimentOutcome;
-use smst_core::{CoreLabel, CoreVerifier, Marker, MstVerificationScheme};
-use smst_graph::mst::kruskal;
+use smst_core::{CoreLabel, CoreVerifier, MstVerificationScheme};
 use smst_graph::{ComponentMap, NodeId, WeightedGraph};
 use smst_labeling::Instance;
-use smst_selfstab::baselines::DetectionCost;
+use smst_selfstab::baselines::{stale_labels_detection, DetectionCost};
 use smst_selfstab::{SelfStabilizingMst, StabilizationOutcome, Variant};
 use smst_sim::{DetectionReport, FaultPlan, MemoryUsage, NodeProgram};
+
+/// The outcome of one fault-detection experiment.
+#[derive(Debug, Clone)]
+pub struct FaultExperimentOutcome {
+    /// Rounds (time units, for asynchronous envelopes) the verifier ran
+    /// before the faults were injected.
+    pub warmup_rounds: usize,
+    /// The detection report (time, alarming nodes, distances).
+    pub report: DetectionReport,
+    /// Memory usage of the verifier's registers at injection time.
+    pub memory: MemoryUsage,
+}
 
 /// Per-node register sizes of a run, as reported by the program.
 fn memory_bits(runner: &dyn Runner<CoreVerifier>, verifier: &CoreVerifier, n: usize) -> Vec<u64> {
@@ -97,9 +107,10 @@ pub fn run_engine_fault_experiment(
     })
 }
 
-/// Engine mirror of [`smst_core::scheme::rounds_until_rejection`]: runs
-/// the verifier on a (non-MST) instance with the given labels until the
-/// first alarm, on whatever execution path `engine` describes.
+/// Runs the verifier on a (non-MST) instance with the given labels (from an
+/// adversary or a stale marker) until the first alarm, on whatever
+/// execution path `engine` describes, and returns the number of rounds
+/// until that alarm (`None`: none within `max_rounds`).
 pub fn rounds_until_rejection_engine(
     instance: &Instance,
     labels: Vec<CoreLabel>,
@@ -109,14 +120,6 @@ pub fn rounds_until_rejection_engine(
     let verifier = MstVerificationScheme::new().verifier(instance, labels);
     let mut runner = engine.instantiate(&verifier, instance.graph.clone())?;
     Ok(runner.run_until(StopCondition::FirstAlarm, max_rounds))
-}
-
-/// Stale labels of the graph's correct MST (what an adversarially corrupted
-/// configuration still carries); mirrors the transformer's baseline.
-fn stale_core_labels(graph: &WeightedGraph) -> Option<Vec<CoreLabel>> {
-    let tree = kruskal(graph).rooted_at(graph, NodeId(0)).ok()?;
-    let correct = Instance::from_tree(graph.clone(), &tree);
-    Marker.label(&correct).ok().map(|(labels, _)| labels)
 }
 
 /// One stabilization episode of the transformer with its **detection phase
@@ -141,33 +144,17 @@ pub fn stabilize_with_engine(
     let instance = Instance::new(graph.clone(), initial_components.clone());
     let already_correct = instance.satisfies_mst();
 
-    // 1. detection, on the engine (mirrors the sequential baseline's
-    //    stale-labels protocol, executed by whatever runner the envelope
-    //    describes)
+    // 1. detection: the transformer's stale-labels protocol, executed by
+    //    whatever runner the envelope describes
     let detection = if already_correct {
         DetectionCost {
             rounds: 0,
             detected: false,
         }
     } else {
-        let budget = MstVerificationScheme::sync_budget(graph.node_count()) * 4;
-        match stale_core_labels(graph) {
-            Some(labels) => match rounds_until_rejection_engine(&instance, labels, budget, engine)?
-            {
-                Some(rounds) => DetectionCost {
-                    rounds: rounds as u64,
-                    detected: true,
-                },
-                None => DetectionCost {
-                    rounds: budget as u64,
-                    detected: false,
-                },
-            },
-            None => DetectionCost {
-                rounds: 1,
-                detected: true,
-            },
-        }
+        stale_labels_detection(&instance, |labels, budget| {
+            rounds_until_rejection_engine(&instance, labels, budget, engine)
+        })?
     };
 
     // 2.–4. reset, reconstruction, memory and correctness accounting: the
@@ -179,8 +166,8 @@ pub fn stabilize_with_engine(
 mod tests {
     use super::*;
     use crate::layout::LayoutPolicy;
-    use smst_core::scheme::run_sync_fault_experiment;
     use smst_graph::generators::random_connected_graph;
+    use smst_graph::mst::kruskal;
     use smst_selfstab::transformer::garbage_components;
     use smst_selfstab::SelfStabilizingMst;
     use smst_sim::Daemon;
@@ -191,32 +178,103 @@ mod tests {
         Instance::from_tree(g, &tree)
     }
 
-    #[test]
-    fn engine_fault_experiment_equals_sequential_on_every_path() {
-        let inst = mst_instance(16, 40, 3);
-        let plan = FaultPlan::single(NodeId(7));
-        let seq = run_sync_fault_experiment(&inst, &plan, FaultKind::SpDistance, 1);
-        let envelopes = [
-            EngineConfig::reference(),
+    /// The sharded envelopes every reference run is pinned against.
+    fn sharded_envelopes() -> [EngineConfig; 3] {
+        [
             EngineConfig::new().threads(4),
             EngineConfig::new().threads(4).layout(LayoutPolicy::Rcm),
             EngineConfig::new()
                 .threads(4)
                 .layout(LayoutPolicy::Rcm)
                 .halo(true),
+        ]
+    }
+
+    #[test]
+    fn engine_fault_experiment_equals_sequential_on_every_path() {
+        // (graph, faulty node, fault kind, corruption seed); the first case
+        // is pinned on every sharded envelope, the others (debug-mode
+        // warm-ups are slow) on the fullest one
+        let cases = [
+            ((16, 40, 3), 7, FaultKind::SpDistance, 1),
+            ((20, 50, 3), 7, FaultKind::SpDistance, 1),
+            ((24, 60, 4), 5, FaultKind::StoredPieceWeight, 2),
         ];
-        for engine in envelopes {
-            let label = engine.describe();
-            let par = run_engine_fault_experiment(&inst, &plan, FaultKind::SpDistance, 1, &engine)
+        let envelopes = sharded_envelopes();
+        for (i, ((n, m, graph_seed), node, kind, seed)) in cases.into_iter().enumerate() {
+            let inst = mst_instance(n, m, graph_seed);
+            let plan = FaultPlan::single(NodeId(node));
+            let reference =
+                run_engine_fault_experiment(&inst, &plan, kind, seed, &EngineConfig::reference())
+                    .expect("valid envelope");
+            assert!(reference.report.detected, "{kind:?} on n = {n}");
+            if kind == FaultKind::SpDistance {
+                // a structural (1-round checkable) fault is caught within
+                // two rounds, at distance at most 1
+                assert!(reference.report.detection_time.unwrap() <= 2, "n = {n}");
+                assert!(reference.report.max_detection_distance <= 1, "n = {n}");
+            }
+            let pinned = if i == 0 {
+                &envelopes[..]
+            } else {
+                &envelopes[2..]
+            };
+            for engine in pinned {
+                let label = format!("{kind:?} on n = {n}, {}", engine.describe());
+                let par = run_engine_fault_experiment(&inst, &plan, kind, seed, engine)
+                    .expect("valid envelope");
+                assert_eq!(par.warmup_rounds, reference.warmup_rounds, "{label}");
+                assert_eq!(par.report.detected, reference.report.detected, "{label}");
+                assert_eq!(
+                    par.report.detection_time, reference.report.detection_time,
+                    "{label}"
+                );
+                assert_eq!(
+                    par.report.alarm_nodes, reference.report.alarm_nodes,
+                    "{label}"
+                );
+                assert_eq!(
+                    par.memory.max_bits(),
+                    reference.memory.max_bits(),
+                    "{label}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_mst_candidate_is_rejected_on_every_path() {
+        // swap a tree edge for a heavier non-tree edge and keep the stale
+        // labels of the correct MST
+        let g = random_connected_graph(14, 40, 6);
+        let mst = kruskal(&g);
+        let mst_edges = mst.edges();
+        let correct = mst_instance(14, 40, 6);
+        let (labels, _) = MstVerificationScheme::new().mark(&correct).unwrap();
+        let bad = g
+            .edge_entries()
+            .map(|(e, _)| e)
+            .filter(|e| !mst.contains(*e))
+            .flat_map(|extra| {
+                (0..mst_edges.len()).map(move |i| {
+                    let mut edges = mst_edges.to_vec();
+                    edges[i] = extra;
+                    edges
+                })
+            })
+            .filter_map(|edges| smst_graph::RootedTree::from_edges(&g, &edges, NodeId(0)).ok())
+            .map(|t| Instance::from_tree(g.clone(), &t))
+            .find(|candidate| !candidate.satisfies_mst())
+            .expect("a spanning non-MST tree exists");
+        let budget = 8 * MstVerificationScheme::sync_budget(14);
+        let reference =
+            rounds_until_rejection_engine(&bad, labels.clone(), budget, &EngineConfig::reference())
                 .expect("valid envelope");
-            assert_eq!(par.warmup_rounds, seq.warmup_rounds, "{label}");
-            assert_eq!(par.report.detected, seq.report.detected, "{label}");
-            assert_eq!(
-                par.report.detection_time, seq.report.detection_time,
-                "{label}"
-            );
-            assert_eq!(par.report.alarm_nodes, seq.report.alarm_nodes, "{label}");
-            assert_eq!(par.memory.max_bits(), seq.memory.max_bits(), "{label}");
+        assert!(reference.is_some(), "a non-MST candidate must be rejected");
+        for engine in sharded_envelopes() {
+            let par = rounds_until_rejection_engine(&bad, labels.clone(), budget, &engine)
+                .expect("valid envelope");
+            assert_eq!(par, reference, "{}", engine.describe());
         }
     }
 

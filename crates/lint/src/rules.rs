@@ -112,6 +112,7 @@ impl LintConfig {
             ]),
             unsafe_allow: own(&["crates/engine/src/pool.rs"]),
             deterministic: own(&[
+                "crates/core/",
                 "crates/engine/",
                 "crates/sim/",
                 "crates/telemetry/",

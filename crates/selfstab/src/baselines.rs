@@ -2,14 +2,15 @@
 //! their cost models (the non-headline rows of Table 1).
 
 use crate::transformer::Variant;
-use smst_core::{Marker, MstVerificationScheme};
+use smst_core::{CoreLabel, Marker, MstVerificationScheme};
 use smst_graph::mst::kruskal;
 use smst_graph::{NodeId, WeightedGraph};
 use smst_labeling::kkp::KkpMstScheme;
 use smst_labeling::recompute::RecomputeChecker;
 use smst_labeling::scheme::{max_label_bits, verify_all};
 use smst_labeling::{Instance, OneRoundScheme};
-use smst_sim::{DetectionReport, FaultPlan};
+use smst_sim::{DetectionReport, FaultPlan, SyncRunner};
+use std::convert::Infallible;
 
 /// How long a verification scheme took to flag a non-MST configuration.
 #[derive(Debug, Clone, Copy)]
@@ -22,37 +23,60 @@ pub struct DetectionCost {
 
 /// Labels of the correct MST of the instance's graph — the "stale" labels an
 /// adversarially corrupted configuration would still carry.
-fn stale_core_labels(graph: &WeightedGraph) -> Option<Vec<smst_core::CoreLabel>> {
+fn stale_core_labels(graph: &WeightedGraph) -> Option<Vec<CoreLabel>> {
     let tree = kruskal(graph).rooted_at(graph, NodeId(0)).ok()?;
     let correct = Instance::from_tree(graph.clone(), &tree);
     Marker.label(&correct).ok().map(|(labels, _)| labels)
 }
 
+/// The paper variant's detection protocol on a non-MST instance: run the
+/// verifier on the stale labels of the graph's correct MST for at most
+/// `4 · sync_budget(n)` rounds.
+///
+/// `rounds_until_rejection(labels, budget)` executes the verifier on the
+/// instance with those labels and returns the round of its first alarm:
+/// [`detection_cost`] passes the sequential runner, the engine's
+/// `stabilize_with_engine` the runner its `EngineConfig` describes. A graph
+/// without a spanning tree has no stale labels and is charged one round.
+///
+/// # Errors
+///
+/// Passes on the error of `rounds_until_rejection`.
+pub fn stale_labels_detection<E>(
+    instance: &Instance,
+    rounds_until_rejection: impl FnOnce(Vec<CoreLabel>, usize) -> Result<Option<usize>, E>,
+) -> Result<DetectionCost, E> {
+    let Some(labels) = stale_core_labels(&instance.graph) else {
+        return Ok(DetectionCost {
+            rounds: 1,
+            detected: true,
+        });
+    };
+    let budget = MstVerificationScheme::sync_budget(instance.node_count()) * 4;
+    Ok(match rounds_until_rejection(labels, budget)? {
+        Some(rounds) => DetectionCost {
+            rounds: rounds as u64,
+            detected: true,
+        },
+        None => DetectionCost {
+            rounds: budget as u64,
+            detected: false,
+        },
+    })
+}
+
 /// Measures (or charges, for the label-free checker) the rounds one
 /// verification pass needs to flag the given non-MST instance.
 pub fn detection_cost(variant: Variant, instance: &Instance) -> DetectionCost {
-    let n = instance.node_count();
     match variant {
         Variant::Paper => {
-            let budget = MstVerificationScheme::sync_budget(n) * 4;
-            match stale_core_labels(&instance.graph) {
-                Some(labels) => {
-                    match smst_core::scheme::rounds_until_rejection(instance, labels, budget) {
-                        Some(rounds) => DetectionCost {
-                            rounds: rounds as u64,
-                            detected: true,
-                        },
-                        None => DetectionCost {
-                            rounds: budget as u64,
-                            detected: false,
-                        },
-                    }
-                }
-                None => DetectionCost {
-                    rounds: 1,
-                    detected: true,
-                },
-            }
+            let sequential = stale_labels_detection(instance, |labels, budget| {
+                let verifier = MstVerificationScheme::new().verifier(instance, labels);
+                let mut runner = SyncRunner::new(&verifier, verifier.network());
+                Ok::<_, Infallible>(runner.run_until_alarm(budget))
+            });
+            let Ok(cost) = sequential;
+            cost
         }
         Variant::OneRoundLabels => {
             let tree = kruskal(&instance.graph).rooted_at(&instance.graph, NodeId(0));

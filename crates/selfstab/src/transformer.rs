@@ -211,34 +211,6 @@ impl SelfStabilizingMst {
         let components = garbage_components(graph, seed);
         self.stabilize(graph, &components)
     }
-
-    /// The detection time and detection distance the stabilized system
-    /// inherits from its verification scheme (property (1)/(2) of the paper's
-    /// abstract): measured by injecting `f` faults into a stabilized
-    /// configuration. Only meaningful for the [`Variant::Paper`] and
-    /// [`Variant::OneRoundLabels`] variants.
-    pub fn post_stabilization_detection(
-        &self,
-        graph: &WeightedGraph,
-        faults: usize,
-        seed: u64,
-    ) -> smst_sim::DetectionReport {
-        let outcome = self.stabilize_from_garbage(graph, seed);
-        let instance = Instance::new(graph.clone(), outcome.components.clone());
-        let plan = smst_sim::FaultPlan::random(graph.node_count(), faults, seed ^ 0xABCD);
-        match self.variant {
-            Variant::Paper => {
-                let result = smst_core::scheme::run_sync_fault_experiment(
-                    &instance,
-                    &plan,
-                    smst_core::faults::FaultKind::StoredPieceWeight,
-                    seed,
-                );
-                result.report
-            }
-            _ => crate::baselines::one_round_detection_report(&instance, &plan, seed),
-        }
-    }
 }
 
 /// An adversarial component configuration: every node points at a pseudo-

@@ -1,16 +1,17 @@
-//! Hand-rolled JSON fragments shared by the trace and rounds writers.
+//! Hand-rolled JSON fragments shared by the artifact writers.
 //!
-//! The offline workspace has no serde; `json_string` duplicates the one
-//! escaping rule of `smst_bench::harness::json_string` (this crate sits
-//! *below* the bench crate in the dependency graph, so it cannot import
-//! it), and `round_fields` is the single source of truth for the
-//! per-round record schema shared by `TRACE_*.jsonl` lines and
-//! `BENCH_rounds*.json` entries.
+//! The offline workspace has no serde; [`json_string`] is the one escaping
+//! rule of every `BENCH_*`/`TRACE_*`/`CAMPAIGN_*` writer (the bench harness
+//! re-exports it as `smst_bench::harness::json_string`), and
+//! `round_fields` is the single source of truth for the per-round record
+//! schema shared by `TRACE_*.jsonl` lines and `BENCH_rounds*.json`
+//! entries.
 
 use smst_sim::RoundStats;
 
-/// Minimal JSON string escaping (same rule as the bench harness).
-pub(crate) fn json_string(s: &str) -> String {
+/// Minimal JSON string escaping: quotes, backslashes and control
+/// characters are escaped, everything else is copied as is.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -74,7 +74,7 @@
 
 pub mod chaos;
 pub mod flight;
-mod json;
+pub mod json;
 pub mod metrics;
 pub mod rounds;
 pub mod trace;

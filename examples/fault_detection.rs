@@ -5,7 +5,8 @@
 //! Run with: `cargo run --example fault_detection`
 
 use smst_core::faults::FaultKind;
-use smst_core::scheme::run_sync_fault_experiment;
+use smst_engine::adapters::run_engine_fault_experiment;
+use smst_engine::EngineConfig;
 use smst_graph::generators::random_connected_graph;
 use smst_graph::mst::kruskal;
 use smst_graph::NodeId;
@@ -26,7 +27,9 @@ fn main() {
         (4, FaultKind::RootsString),
     ] {
         let plan = FaultPlan::random(n, f, 1000 + f as u64);
-        let outcome = run_sync_fault_experiment(&instance, &plan, kind, 5);
+        let outcome =
+            run_engine_fault_experiment(&instance, &plan, kind, 5, &EngineConfig::reference())
+                .expect("the reference envelope is valid");
         println!(
             "{f} fault(s) of kind {kind:?}: detected = {}, detection time = {:?} rounds, \
              max distance fault→alarm = {} hops",

@@ -1,9 +1,11 @@
 //! Cross-crate integration tests: construction → marking → verification →
 //! fault detection → self-stabilization, exercised end to end.
 
+use smst_bench::engine_metrics::engine_memory_sweep;
 use smst_core::faults::FaultKind;
-use smst_core::scheme::{rounds_until_rejection, run_sync_fault_experiment, MstVerificationScheme};
-use smst_core::SyncMst;
+use smst_core::{MstVerificationScheme, SyncMst};
+use smst_engine::adapters::{rounds_until_rejection_engine, run_engine_fault_experiment};
+use smst_engine::EngineConfig;
 use smst_graph::generators::{caterpillar_graph, grid_graph, random_connected_graph, ring_graph};
 use smst_graph::mst::{is_mst, kruskal};
 use smst_graph::{NodeId, RootedTree};
@@ -52,7 +54,9 @@ fn injected_faults_are_detected_within_the_polylog_budget() {
         FaultKind::EndpString,
     ] {
         let plan = FaultPlan::random(24, 1, 77);
-        let outcome = run_sync_fault_experiment(&inst, &plan, kind, 8);
+        let outcome =
+            run_engine_fault_experiment(&inst, &plan, kind, 8, &EngineConfig::reference())
+                .expect("the reference envelope is valid");
         assert!(outcome.report.detected, "{kind:?} was not detected");
         let n = inst.node_count();
         assert!(
@@ -90,7 +94,9 @@ fn a_non_mst_candidate_with_stale_labels_is_rejected() {
     }
     let bad = bad.expect("a non-MST spanning tree exists");
     let budget = 8 * MstVerificationScheme::sync_budget(16);
-    assert!(rounds_until_rejection(&bad, labels, budget).is_some());
+    let reference = EngineConfig::reference();
+    let rejected = rounds_until_rejection_engine(&bad, labels, budget, &reference);
+    assert!(rejected.expect("valid envelope").is_some());
 }
 
 #[test]
@@ -112,9 +118,9 @@ fn self_stabilization_reaches_the_mst_from_arbitrary_configurations() {
 
 #[test]
 fn verifier_register_memory_stays_logarithmic_while_baseline_grows() {
-    let points = smst_bench::memory_sweep(&[32, 128, 512], 21);
+    let points = engine_memory_sweep(&[32, 128, 512], 21, &EngineConfig::reference(), 0);
     // paper: words of log n stay within a constant band
-    let w: Vec<f64> = points.iter().map(|p| p.paper_words).collect();
+    let w: Vec<f64> = points.iter().map(|p| p.words).collect();
     assert!(w[2] < w[0] * 1.6 + 1.0);
     // baseline: words of log n grow with n
     assert!(points[2].one_round_words > points[0].one_round_words);
@@ -150,6 +156,8 @@ fn broken_component_pointers_are_detected() {
     let broken = Instance::new(graph, components);
     if !broken.satisfies_mst() {
         let budget = 8 * MstVerificationScheme::sync_budget(18);
-        assert!(rounds_until_rejection(&broken, labels, budget).is_some());
+        let reference = EngineConfig::reference();
+        let rejected = rounds_until_rejection_engine(&broken, labels, budget, &reference);
+        assert!(rejected.expect("valid envelope").is_some());
     }
 }

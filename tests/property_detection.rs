@@ -1,11 +1,10 @@
 //! Property tests: corrupted proofs on spanning non-MST trees are always
-//! detected within the paper's round budget — on the sequential runner AND
-//! on the sharded parallel engine, with identical detection times (the
-//! engine's determinism contract).
+//! detected within the paper's round budget — on the sequential reference
+//! runner AND on the sharded parallel engine, with identical detection
+//! times (the engine's determinism contract).
 
 use proptest::prelude::*;
-use smst_core::scheme::{rounds_until_rejection, MstVerificationScheme};
-use smst_core::CoreLabel;
+use smst_core::{CoreLabel, MstVerificationScheme};
 use smst_engine::adapters::rounds_until_rejection_engine;
 use smst_engine::EngineConfig;
 use smst_graph::generators::random_connected_graph;
@@ -81,7 +80,8 @@ proptest! {
         labels[victim].sp.dist = labels[victim].sp.dist.wrapping_add(delta);
 
         let budget = budget(n);
-        let seq = rounds_until_rejection(&bad, labels.clone(), budget);
+        let seq = rounds_until_rejection_engine(&bad, labels.clone(), budget, &EngineConfig::reference())
+            .expect("the reference envelope is valid");
         prop_assert!(
             seq.is_some(),
             "sequential runner missed a corrupted label on a non-MST tree"
@@ -115,7 +115,8 @@ proptest! {
             return Ok(());
         };
         let budget = budget(n);
-        let seq = rounds_until_rejection(&bad, labels.clone(), budget);
+        let seq = rounds_until_rejection_engine(&bad, labels.clone(), budget, &EngineConfig::reference())
+            .expect("the reference envelope is valid");
         prop_assert!(
             seq.is_some(),
             "sequential runner missed a spanning non-MST tree within the bound"
