@@ -76,6 +76,48 @@ pub fn mst_verifier_for(graph: &WeightedGraph) -> CoreVerifier {
     scheme.verifier(&instance, labels)
 }
 
+/// The fault experiment behind the detection and locality figures: warm
+/// the verifier up on the sweep graph of `n` nodes for the synchronous
+/// budget, corrupt `faults` registers chosen by `burst_seed` with `kind`
+/// (corruption seeds `seed`, `seed + 1`, …), and run to the first alarm.
+/// Returns the graph's maximum degree and the detection report.
+fn burst_detection(
+    n: usize,
+    seed: u64,
+    engine: &EngineConfig,
+    faults: usize,
+    burst_seed: u64,
+    kind: FaultKind,
+) -> (usize, DetectionReport) {
+    let warmup = MstVerificationScheme::sync_budget(n);
+    let budget = warmup + 4 * MstVerificationScheme::sync_budget(n) + 1;
+    let spec = ScenarioSpec::new(sweep_family(n))
+        .engine(engine.clone())
+        .seed(seed)
+        .fault_burst(warmup, faults, burst_seed)
+        .until(StopCondition::FirstAlarm);
+    let mut i = 0u64;
+    let (outcome, _verifier) = spec.run_with(
+        mst_verifier_for,
+        |_v, state| {
+            corrupt(state, kind, seed.wrapping_add(i));
+            i += 1;
+        },
+        budget,
+    );
+    let graph = outcome.network.graph();
+    let report = match outcome.report.first_alarm {
+        Some(t) => DetectionReport::from_alarms(
+            graph,
+            t,
+            outcome.report.alarm_nodes,
+            &outcome.report.injected_nodes,
+        ),
+        None => DetectionReport::not_detected(),
+    };
+    (graph.max_degree(), report)
+}
+
 /// One point of the detection figure.
 #[derive(Debug, Clone)]
 pub struct EngineDetectionPoint {
@@ -107,34 +149,11 @@ pub fn engine_detection_sweep(
     sizes
         .iter()
         .map(|&n| {
-            let warmup = MstVerificationScheme::sync_budget(n);
-            let budget = warmup + 4 * MstVerificationScheme::sync_budget(n) + 1;
-            let spec = ScenarioSpec::new(sweep_family(n))
-                .engine(engine.clone())
-                .seed(seed)
-                .fault_burst(warmup, 1, seed)
-                .until(StopCondition::FirstAlarm);
-            let mut i = 0u64;
-            let (outcome, _verifier) = spec.run_with(
-                mst_verifier_for,
-                |_v, state| {
-                    corrupt(state, FaultKind::StoredPieceWeight, seed.wrapping_add(i));
-                    i += 1;
-                },
-                budget,
-            );
-            let report = match outcome.report.first_alarm {
-                Some(t) => DetectionReport::from_alarms(
-                    outcome.network.graph(),
-                    t,
-                    outcome.report.alarm_nodes.clone(),
-                    &outcome.report.injected_nodes,
-                ),
-                None => DetectionReport::not_detected(),
-            };
+            let (max_degree, report) =
+                burst_detection(n, seed, engine, 1, seed, FaultKind::StoredPieceWeight);
             EngineDetectionPoint {
                 n,
-                max_degree: outcome.network.graph().max_degree(),
+                max_degree,
                 detection_steps: report.detection_time,
                 detection_distance: report.max_detection_distance,
                 threads,
@@ -172,31 +191,14 @@ pub fn engine_locality_sweep(
     fault_counts
         .iter()
         .map(|&f| {
-            let warmup = MstVerificationScheme::sync_budget(n);
-            let budget = warmup + 4 * MstVerificationScheme::sync_budget(n) + 1;
-            let spec = ScenarioSpec::new(sweep_family(n))
-                .engine(engine.clone())
-                .seed(seed)
-                .fault_burst(warmup, f.min(n), seed + f as u64)
-                .until(StopCondition::FirstAlarm);
-            let mut i = 0u64;
-            let (outcome, _verifier) = spec.run_with(
-                mst_verifier_for,
-                |_v, state| {
-                    corrupt(state, FaultKind::SpDistance, seed.wrapping_add(i));
-                    i += 1;
-                },
-                budget,
+            let (_, report) = burst_detection(
+                n,
+                seed,
+                engine,
+                f.min(n),
+                seed + f as u64,
+                FaultKind::SpDistance,
             );
-            let report = match outcome.report.first_alarm {
-                Some(t) => DetectionReport::from_alarms(
-                    outcome.network.graph(),
-                    t,
-                    outcome.report.alarm_nodes.clone(),
-                    &outcome.report.injected_nodes,
-                ),
-                None => DetectionReport::not_detected(),
-            };
             EngineLocalityPoint {
                 faults: f,
                 n,

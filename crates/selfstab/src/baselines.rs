@@ -70,12 +70,11 @@ pub fn stale_labels_detection<E>(
 pub fn detection_cost(variant: Variant, instance: &Instance) -> DetectionCost {
     match variant {
         Variant::Paper => {
-            let sequential = stale_labels_detection(instance, |labels, budget| {
+            let Ok(cost) = stale_labels_detection(instance, |labels, budget| {
                 let verifier = MstVerificationScheme::new().verifier(instance, labels);
                 let mut runner = SyncRunner::new(&verifier, verifier.network());
                 Ok::<_, Infallible>(runner.run_until_alarm(budget))
             });
-            let Ok(cost) = sequential;
             cost
         }
         Variant::OneRoundLabels => {
