@@ -62,12 +62,64 @@ mod tests {
     use smst_graph::generators::random_connected_graph;
     use smst_graph::mst::kruskal;
     use smst_graph::NodeId;
-    use smst_sim::{FaultPlan, SyncRunner};
+    use smst_sim::{DetectionReport, FaultPlan, SyncRunner};
 
     fn mst_instance(n: usize, m: usize, seed: u64) -> Instance {
         let g = random_connected_graph(n, m, seed);
         let tree = kruskal(&g).rooted_at(&g, NodeId(0)).unwrap();
         Instance::from_tree(g, &tree)
+    }
+
+    /// Marks `inst`, warms the sequential verifier for one budget, corrupts
+    /// the planned nodes with `kind` and runs until the first alarm (at most
+    /// four budgets).
+    fn detect_injected_faults(
+        inst: &Instance,
+        plan: &FaultPlan,
+        kind: FaultKind,
+        seed: u64,
+    ) -> DetectionReport {
+        let scheme = MstVerificationScheme::new();
+        let (labels, _) = scheme.mark(inst).unwrap();
+        let verifier = scheme.verifier(inst, labels);
+        let budget = MstVerificationScheme::sync_budget(inst.node_count());
+        let mut runner = SyncRunner::new(&verifier, verifier.network());
+        runner.run_rounds(budget);
+        assert!(runner.network().alarming_nodes(&verifier).is_empty());
+        let mut i = 0u64;
+        plan.apply(runner.network_mut(), |_v, s| {
+            corrupt(s, kind, seed.wrapping_add(i));
+            i += 1;
+        });
+        match runner.run_until_alarm(4 * budget) {
+            Some(t) => DetectionReport::from_alarms(
+                &inst.graph,
+                t,
+                runner.network().alarming_nodes(&verifier),
+                plan.nodes(),
+            ),
+            None => DetectionReport::not_detected(),
+        }
+    }
+
+    #[test]
+    fn sp_distance_fault_is_detected_quickly_and_locally() {
+        let inst = mst_instance(20, 50, 3);
+        let plan = FaultPlan::single(NodeId(7));
+        let report = detect_injected_faults(&inst, &plan, FaultKind::SpDistance, 1);
+        assert!(report.detected);
+        // a structural (1-round checkable) fault is caught within one round
+        // at distance at most 1
+        assert!(report.detection_time.unwrap() <= 2);
+        assert!(report.max_detection_distance <= 1);
+    }
+
+    #[test]
+    fn stored_piece_fault_is_detected() {
+        let inst = mst_instance(24, 60, 4);
+        let plan = FaultPlan::single(NodeId(5));
+        let report = detect_injected_faults(&inst, &plan, FaultKind::StoredPieceWeight, 2);
+        assert!(report.detected, "a corrupted piece weight must be detected");
     }
 
     #[test]
